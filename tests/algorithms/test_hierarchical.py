@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import CFL, FedAvg, HierFAVG
+from repro.faults import FaultPlan
 
 from tests.conftest import build_tiny_federation
 
@@ -94,6 +95,24 @@ class TestCFL:
         )
         assert history.worker_edge_rounds == 4
         assert history.edge_cloud_rounds == 2
+
+    @pytest.mark.parametrize(
+        "policy, pending",
+        [("skip_round", [False, False]), ("renormalize", [True, False])],
+    )
+    def test_cloud_flags_only_receiving_edges(
+        self, tiny_federation, policy, pending
+    ):
+        """Edge 1 is dark for the t=6 cloud round: a skipped round
+        reaches no edge and a renormalized one reaches edge 0 only, so
+        only the edges that got the cloud model fold it in later."""
+        algo = CFL(tiny_federation, eta=0.05, tau=3, pi=2)
+        algo.attach_faults(
+            FaultPlan(seed=0, scripted_edge_down=((1, 2, 2),)),
+            policy=policy,
+        )
+        algo.run(6, eval_every=6)
+        assert algo._cloud_pending == pending
 
 
 class TestHierarchyBenefit:
