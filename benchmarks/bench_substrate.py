@@ -7,6 +7,7 @@ aggregation vs a naive per-layer loop (DESIGN.md §6 decision 1), and
 the full HierAdMo iteration cost.
 """
 
+import itertools
 import math
 import time
 
@@ -115,10 +116,11 @@ def test_bench_hieradmo_iteration(benchmark):
         edges.append(edge)
     model = make_logistic_regression(50, 5, rng=2)
     federation = Federation(model, edges, edges[0][0], batch_size=32, seed=3)
-    algo = HierAdMo(federation, tau=1000, pi=1)
+    algo = HierAdMo(federation, tau=10**9, pi=1)
     algo.history = federation.new_history("bench", {})
     algo._setup()
-    benchmark(algo._worker_iteration)
+    clock = itertools.count(1)
+    benchmark(lambda: algo._step(next(clock)))
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +292,15 @@ def test_bench_buffered_vs_legacy_iteration():
             xs[worker] = y_new + gamma * velocity
             ys[worker] = y_new
 
+    clock = itertools.count(1)
+
+    def buffered_iteration():
+        algo._step(next(clock))  # tau=10**9: local steps only
+
     legacy_iteration()  # warm-up both paths
-    algo._worker_iteration()
+    buffered_iteration()
     legacy_time = _time_min(legacy_iteration)
-    buffered_time = _time_min(algo._worker_iteration)
+    buffered_time = _time_min(buffered_iteration)
     speedup = legacy_time / buffered_time
     print(
         f"\n[bench] HierAdMo worker iteration, {fed.num_workers} workers, "

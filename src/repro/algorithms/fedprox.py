@@ -9,12 +9,8 @@ between aggregations.  μ = 0 reduces exactly to FedAvg (tested).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.twotier import TwoTierAlgorithm
 from repro.core.federation import Federation
-from repro.telemetry import get_tracer
-from repro.utils.validation import check_positive
 
 __all__ = ["FedProx"]
 
@@ -46,28 +42,10 @@ class FedProx(TwoTierAlgorithm):
         super()._setup()
         self.global_params = self.fed.initial_params()
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                proximal = self.mu * (self.x[rows] - self.global_params)
-                self.x[rows] -= self.eta * (grads[rows] + proximal)
-            else:
-                loss = self._gradient_iteration(self.x)
-                proximal = self.mu * (self.x - self.global_params)
-                self.x -= self.eta * (grads + proximal)
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    self.global_params = self._round_average(self.x, outcome)
-                    self.x[self._round_receivers(outcome)] = (
-                        self.global_params
-                    )
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _local_update(self, rows) -> None:
+        proximal = self.mu * (self.x[rows] - self.global_params)
+        self.x[rows] -= self.eta * (self._grads[rows] + proximal)
 
-    def _global_params(self) -> np.ndarray:
-        return self._average_models()
+    def _cloud_rule(self, members, workers) -> None:
+        self.global_params = self._average(self.x, members)
+        self.x[workers] = self.global_params

@@ -15,8 +15,6 @@ import numpy as np
 
 from repro.algorithms.twotier import TwoTierAlgorithm
 from repro.core.federation import Federation
-from repro.faults import degrade_round
-from repro.telemetry import get_tracer
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_in_range
 
@@ -64,46 +62,22 @@ class SampledFedAvg(TwoTierAlgorithm):
         # Participants start from the server model.
         self.x[self.active] = self.server_params
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = np.asarray(self._train_rows())
-            mean_loss = self._gradient_iteration(self.x, rows)
-            self.x[rows] -= self.eta * grads[rows]
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                weights = self.fed.global_worker_w[self.active]
-                weights = weights / weights.sum()
-                up = self._up_mask
-                outcome = degrade_round(
-                    self.faults,
-                    self.degradation,
-                    weights,
-                    None if up is None else up[self.active],
-                )
-                if outcome.pristine:
-                    self.server_params = weights @ self.x[self.active]
-                    # Only the sampled workers exchange state this round.
-                    self._record_round(len(self.active), t=t)
-                    self._sample_round()
-                elif not outcome.skip:
-                    active = np.asarray(self.active)
-                    self.server_params = (
-                        outcome.agg_weights @ self.x[active[outcome.agg_rows]]
-                    )
-                    self._record_round(outcome=outcome, t=t)
-                    self._sample_round()
-                # A skipped round keeps this round's participants training
-                # until the next scheduled aggregation.
-        return mean_loss
-
-    def _train_rows(self) -> list[int]:
+    def _iteration_rows(self) -> np.ndarray:
         """This iteration's training set: sampled ∩ up (never empty)."""
         up = self._up_mask
         if up is None:
-            return self.active
+            return np.asarray(self.active)
         rows = [worker for worker in self.active if up[worker]]
-        return rows or self.active[:1]
+        return np.asarray(rows or self.active[:1])
+
+    def _round_candidates(self) -> tuple:
+        """Only the sampled workers exchange state this round."""
+        weights = self.fed.global_worker_w[self.active]
+        return np.asarray(self.active), weights / weights.sum()
+
+    def _cloud_rule(self, members, workers) -> None:
+        self.server_params = self._average(self.x, members)
+        self._sample_round()
 
     def _global_params(self) -> np.ndarray:
         return self.server_params.copy()

@@ -28,11 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import FLAlgorithm
+from repro.core.base import FLAlgorithm, put_rows
 from repro.core.federation import Federation
-from repro.faults import RoundOutcome, degrade_round
-from repro.monitoring.monitor import get_monitor
-from repro.telemetry import get_tracer
 from repro.utils.validation import (
     check_fraction,
     check_positive,
@@ -54,6 +51,7 @@ __all__ = [
 class TwoTierAlgorithm(FLAlgorithm):
     """Shared plumbing: stacked (num_workers, dim) models + global averaging."""
 
+    FLAT = True
     # Checkpoint state: the stacked worker models; subclasses extend
     # with their momentum buffers / server vectors.
     CKPT_ARRAYS = ("x",)
@@ -65,99 +63,9 @@ class TwoTierAlgorithm(FLAlgorithm):
     def config(self) -> dict:
         return {"eta": self.eta, "tau": self.tau}
 
-    def _setup(self) -> None:
-        self.x = self.fed.initial_worker_matrix()
-        self._grads = np.empty_like(self.x)
-
-    def _average_models(self) -> np.ndarray:
-        return self.fed.global_average_workers(self.x)
-
-    def _broadcast(self, params: np.ndarray) -> None:
-        self.x[:] = params
-
-    def _global_params(self) -> np.ndarray:
-        return self._average_models()
-
-    def _record_round(
-        self,
-        participants: int | None = None,
-        *,
-        outcome: RoundOutcome | None = None,
-        t: int = 0,
-    ) -> None:
-        """Ledger entry (and monitor event) for one aggregation round.
-
-        Two-tier workers talk to the cloud directly, so a round is one
-        upload + one download per participating worker on the
-        edge↔cloud (WAN) tier.  A degraded round bills the transfer
-        events its :class:`RoundOutcome` realized instead (attempted
-        uploads, retransmissions, duplicates, successful downloads).
-        This is the one chokepoint every two-tier algorithm's round
-        passes through, so the monitor's ``cloud_round`` event is
-        emitted here for all of them.
-        """
-        if outcome is not None and not outcome.pristine:
-            self.history.comm.record_edge_cloud(outcome.events)
-            transfers = outcome.events
-            participants = len(outcome.agg_rows)
-        else:
-            if participants is None:
-                participants = self.fed.num_workers
-            transfers = 2 * participants
-            self.history.comm.record_edge_cloud(transfers)
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.emit(
-                "cloud_round",
-                iteration=t,
-                tier="cloud",
-                participants=int(participants),
-                transfers=int(transfers),
-            )
-
-    # ------------------------------------------------------------------
-    # Fault-plan plumbing (all no-ops without an attached plan)
-    # ------------------------------------------------------------------
-    def _gradient_rows(self, rows: np.ndarray) -> float:
-        """Gradient pass over the up workers only; returns their mean loss."""
-        return self._gradient_iteration(self.x, rows)
-
-    def _round_outcome(self) -> RoundOutcome:
-        """This round's membership over all workers under the fault plan."""
-        return degrade_round(
-            self.faults,
-            self.degradation,
-            self.fed.global_worker_w,
-            self._up_mask,
-        )
-
-    def _round_average(
-        self, matrix: np.ndarray, outcome: RoundOutcome
-    ) -> np.ndarray:
-        """Round aggregate of ``matrix`` under the resolved membership."""
-        if outcome.pristine:
-            return self.fed.global_average_workers(matrix)
-        return self.fed.partial_average(
-            matrix, outcome.agg_rows, outcome.agg_weights
-        )
-
-    @staticmethod
-    def _round_receivers(outcome: RoundOutcome):
-        """Rows the round's redistribution writes to."""
-        return slice(None) if outcome.pristine else outcome.receivers
-
-    def _local_sgd_iteration(self) -> float:
-        """One plain SGD step on every worker; returns mean batch loss."""
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                mean_loss = self._gradient_rows(rows)
-                self.x[rows] -= self.eta * grads[rows]
-                return mean_loss
-            mean_loss = self._gradient_iteration(self.x)
-            self.x -= self.eta * grads
-            return mean_loss
+    def _local_update(self, rows) -> None:
+        """One plain SGD step on the workers ``rows``."""
+        self.x[rows] -= self.eta * self._grads[rows]
 
 
 class FedAvg(TwoTierAlgorithm):
@@ -165,17 +73,8 @@ class FedAvg(TwoTierAlgorithm):
 
     name = "FedAvg"
 
-    def _step(self, t: int) -> float:
-        loss = self._local_sgd_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    self.x[self._round_receivers(outcome)] = (
-                        self._round_average(self.x, outcome)
-                    )
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _cloud_rule(self, members, workers) -> None:
+        self.x[workers] = self._average(self.x, members)
 
 
 class FedNAG(TwoTierAlgorithm):
@@ -209,34 +108,17 @@ class FedNAG(TwoTierAlgorithm):
         super()._setup()
         self.y = self.x.copy()
 
-    def _nag_iteration(self) -> float:
-        """One local NAG step per up worker; returns their mean loss."""
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                mean_loss = self._gradient_rows(rows)
-                y_new = self.x[rows] - self.eta * grads[rows]
-                self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
-                self.y[rows] = y_new
-                return mean_loss
-            mean_loss = self._gradient_iteration(self.x)
-            y_new = self.x - self.eta * grads
-            self.x = y_new + self.gamma * (y_new - self.y)
-            self.y = y_new
-            return mean_loss
+    def _local_update(self, rows) -> None:
+        """One local NAG step on the workers ``rows``."""
+        y_new = self.x[rows] - self.eta * self._grads[rows]
+        self.x = put_rows(
+            self.x, rows, y_new + self.gamma * (y_new - self.y[rows])
+        )
+        self.y = put_rows(self.y, rows, y_new)
 
-    def _step(self, t: int) -> float:
-        loss = self._nag_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    recv = self._round_receivers(outcome)
-                    self.x[recv] = self._round_average(self.x, outcome)
-                    self.y[recv] = self._round_average(self.y, outcome)
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _cloud_rule(self, members, workers) -> None:
+        self.x[workers] = self._average(self.x, members)
+        self.y[workers] = self._average(self.y, members)
 
 
 class FedMom(TwoTierAlgorithm):
@@ -271,26 +153,11 @@ class FedMom(TwoTierAlgorithm):
         self.server_params = self.fed.initial_params()
         self.server_momentum = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
-        loss = self._local_sgd_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    delta = self.server_params - self._round_average(
-                        self.x, outcome
-                    )
-                    self.server_momentum = (
-                        self.beta * self.server_momentum + delta
-                    )
-                    self.server_params = (
-                        self.server_params - self.server_momentum
-                    )
-                    self.x[self._round_receivers(outcome)] = (
-                        self.server_params
-                    )
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _cloud_rule(self, members, workers) -> None:
+        delta = self.server_params - self._average(self.x, members)
+        self.server_momentum = self.beta * self.server_momentum + delta
+        self.server_params = self.server_params - self.server_momentum
+        self.x[workers] = self.server_params
 
     def _global_params(self) -> np.ndarray:
         return self.server_params.copy()
@@ -330,28 +197,15 @@ class SlowMo(TwoTierAlgorithm):
         self.server_params = self.fed.initial_params()
         self.slow_momentum = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
-        loss = self._local_sgd_iteration()
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    pseudo_grad = (
-                        self.server_params
-                        - self._round_average(self.x, outcome)
-                    ) / self.eta
-                    self.slow_momentum = (
-                        self.beta * self.slow_momentum + pseudo_grad
-                    )
-                    self.server_params = (
-                        self.server_params
-                        - self.alpha * self.eta * self.slow_momentum
-                    )
-                    self.x[self._round_receivers(outcome)] = (
-                        self.server_params
-                    )
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _cloud_rule(self, members, workers) -> None:
+        pseudo_grad = (
+            self.server_params - self._average(self.x, members)
+        ) / self.eta
+        self.slow_momentum = self.beta * self.slow_momentum + pseudo_grad
+        self.server_params = (
+            self.server_params - self.alpha * self.eta * self.slow_momentum
+        )
+        self.x[workers] = self.server_params
 
     def _global_params(self) -> np.ndarray:
         return self.server_params.copy()
@@ -390,46 +244,30 @@ class Mime(TwoTierAlgorithm):
         super()._setup()
         self.server_state = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                self.x[rows] -= self.eta * (
-                    (1.0 - self.beta) * grads[rows]
-                    + self.beta * self.server_state
-                )
-            else:
-                loss = self._gradient_iteration(self.x)
-                self.x -= self.eta * (
-                    (1.0 - self.beta) * grads + self.beta * self.server_state
-                )
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    x_bar = self._round_average(self.x, outcome)
-                    shared = np.broadcast_to(x_bar, grads.shape)
-                    if outcome.pristine:
-                        self.fed.gradient_all(shared, out=grads)
-                        mean_grad = self.fed.global_average_workers(grads)
-                    else:
-                        # Only the reachable workers can evaluate a fresh
-                        # gradient at the aggregate for the refresh.
-                        present = outcome.present
-                        self.fed.gradient_all(shared, rows=present, out=grads)
-                        w = self.fed.global_worker_w[present]
-                        mean_grad = self.fed.partial_average(
-                            grads, present, w / w.sum()
-                        )
-                    self.server_state = (
-                        (1.0 - self.beta) * mean_grad
-                        + self.beta * self.server_state
-                    )
-                    self.x[self._round_receivers(outcome)] = x_bar
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _local_update(self, rows) -> None:
+        self.x[rows] -= self.eta * (
+            (1.0 - self.beta) * self._grads[rows]
+            + self.beta * self.server_state
+        )
+
+    def _cloud_rule(self, members, workers) -> None:
+        grads = self._grads
+        x_bar = self._average(self.x, members)
+        shared = np.broadcast_to(x_bar, grads.shape)
+        if members.pristine:
+            self.fed.gradient_all(shared, out=grads)
+            mean_grad = self.fed.global_average_workers(grads)
+        else:
+            # Only the reachable workers can evaluate a fresh gradient
+            # at the aggregate for the refresh.
+            present = members.present
+            self.fed.gradient_all(shared, rows=present, out=grads)
+            w = self.fed.global_worker_w[present]
+            mean_grad = (w / w.sum()) @ grads[present]
+        self.server_state = (
+            (1.0 - self.beta) * mean_grad + self.beta * self.server_state
+        )
+        self.x[workers] = x_bar
 
 
 class FedADC(TwoTierAlgorithm):
@@ -473,44 +311,27 @@ class FedADC(TwoTierAlgorithm):
         self.server_momentum = np.zeros(self.fed.dim)
         self.local_momentum = np.zeros((self.fed.num_workers, self.fed.dim))
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                self.local_momentum[rows] = (
-                    self.beta * self.local_momentum[rows] + grads[rows]
-                )
-                self.x[rows] -= self.eta * self.local_momentum[rows]
-            else:
-                loss = self._gradient_iteration(self.x)
-                self.local_momentum = self.beta * self.local_momentum + grads
-                self.x -= self.eta * self.local_momentum
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    avg = self._round_average(self.x, outcome)
-                    pseudo_grad = (
-                        self.server_params - avg
-                    ) / (self.eta * self.tau)
-                    self.server_momentum = (
-                        self.beta * self.server_momentum
-                        + (1.0 - self.beta) * pseudo_grad
-                    )
-                    self.server_params = avg
-                    recv = self._round_receivers(outcome)
-                    self.x[recv] = self.server_params
-                    self.local_momentum[recv] = self.server_momentum
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _local_update(self, rows) -> None:
+        self.local_momentum = put_rows(
+            self.local_momentum,
+            rows,
+            self.beta * self.local_momentum[rows] + self._grads[rows],
+        )
+        self.x[rows] -= self.eta * self.local_momentum[rows]
 
-    def _global_params(self) -> np.ndarray:
-        return self._average_models()
+    def _cloud_rule(self, members, workers) -> None:
+        avg = self._average(self.x, members)
+        pseudo_grad = (self.server_params - avg) / (self.eta * self.tau)
+        self.server_momentum = (
+            self.beta * self.server_momentum
+            + (1.0 - self.beta) * pseudo_grad
+        )
+        self.server_params = avg
+        self.x[workers] = self.server_params
+        self.local_momentum[workers] = self.server_momentum
 
 
-class FastSlowMo(TwoTierAlgorithm):
+class FastSlowMo(FedNAG):
     """Yang et al. TAI'22: combined worker (fast) and server (slow) momenta.
 
     Workers run NAG locally (as FedNAG); every round the server aggregates
@@ -519,15 +340,7 @@ class FastSlowMo(TwoTierAlgorithm):
     """
 
     name = "FastSlowMo"
-    # Ships the worker model and its NAG momentum every round.
-    payload_multiplier = 2.0
-    CKPT_ARRAYS = TwoTierAlgorithm.CKPT_ARRAYS + (
-        "y",
-        "server_params",
-        "slow_momentum",
-    )
-    # The fast (worker NAG) momentum row follows the client.
-    CLIENT_STATE = ("y",)
+    CKPT_ARRAYS = FedNAG.CKPT_ARRAYS + ("server_params", "slow_momentum")
 
     def __init__(
         self,
@@ -539,58 +352,28 @@ class FastSlowMo(TwoTierAlgorithm):
         beta: float = 0.5,
         alpha: float = 1.0,
     ):
-        super().__init__(federation, eta=eta, tau=tau)
-        self.gamma = check_fraction(gamma, "gamma")
+        super().__init__(federation, eta=eta, tau=tau, gamma=gamma)
         self.beta = check_fraction(beta, "beta")
         self.alpha = check_positive(alpha, "alpha")
 
     def config(self) -> dict:
-        return {
-            **super().config(),
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "alpha": self.alpha,
-        }
+        return {**super().config(), "beta": self.beta, "alpha": self.alpha}
 
     def _setup(self) -> None:
         super()._setup()
-        self.y = self.x.copy()
         self.server_params = self.fed.initial_params()
         self.slow_momentum = np.zeros(self.fed.dim)
 
-    def _step(self, t: int) -> float:
-        with get_tracer().span("worker_step"):
-            grads = self._grads
-            rows = self._iteration_rows()
-            if rows is not None:
-                loss = self._gradient_rows(rows)
-                y_new = self.x[rows] - self.eta * grads[rows]
-                self.x[rows] = y_new + self.gamma * (y_new - self.y[rows])
-                self.y[rows] = y_new
-            else:
-                loss = self._gradient_iteration(self.x)
-                y_new = self.x - self.eta * grads
-                self.x = y_new + self.gamma * (y_new - self.y)
-                self.y = y_new
-        if t % self.tau == 0:
-            with get_tracer().span("cloud_agg"):
-                outcome = self._round_outcome()
-                if not outcome.skip:
-                    x_bar = self._round_average(self.x, outcome)
-                    y_bar = self._round_average(self.y, outcome)
-                    pseudo_grad = (self.server_params - x_bar) / self.eta
-                    self.slow_momentum = (
-                        self.beta * self.slow_momentum + pseudo_grad
-                    )
-                    self.server_params = (
-                        self.server_params
-                        - self.alpha * self.eta * self.slow_momentum
-                    )
-                    recv = self._round_receivers(outcome)
-                    self.x[recv] = self.server_params
-                    self.y[recv] = y_bar
-                    self._record_round(outcome=outcome, t=t)
-        return loss
+    def _cloud_rule(self, members, workers) -> None:
+        x_bar = self._average(self.x, members)
+        y_bar = self._average(self.y, members)
+        pseudo_grad = (self.server_params - x_bar) / self.eta
+        self.slow_momentum = self.beta * self.slow_momentum + pseudo_grad
+        self.server_params = (
+            self.server_params - self.alpha * self.eta * self.slow_momentum
+        )
+        self.x[workers] = self.server_params
+        self.y[workers] = y_bar
 
     def _global_params(self) -> np.ndarray:
         return self.server_params.copy()

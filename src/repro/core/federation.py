@@ -333,16 +333,6 @@ class Federation:
         """Weighted over-all-workers average Σ (D_{i,ℓ}/D) vᵢℓ."""
         return self.global_worker_w @ np.asarray(vectors)
 
-    def partial_average(self, vectors, rows, weights) -> np.ndarray:
-        """Weighted average over an explicit row subset.
-
-        Used by the degraded aggregation rounds of the fault-injection
-        subsystem, where ``rows``/``weights`` come from a resolved
-        :class:`repro.faults.RoundOutcome` rather than a cached full
-        weight vector.
-        """
-        return np.asarray(weights) @ np.asarray(vectors)[rows]
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------

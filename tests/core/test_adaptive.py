@@ -168,7 +168,7 @@ class TestController:
 
     @pytest.mark.parametrize("mode", ["velocity", "y"])
     def test_accumulate_all_matches_per_worker(self, mode):
-        """The stacked fast path is step-for-step equal to the loop."""
+        """The all-rows fast path is step-for-step equal to the loop."""
         rng = np.random.default_rng(0)
         stacked = AdaptiveGammaController(3, 4, mode=mode)
         looped = AdaptiveGammaController(3, 4, mode=mode)
@@ -176,7 +176,7 @@ class TestController:
             grads = rng.normal(size=(3, 4))
             y_prev = rng.normal(size=(3, 4))
             velocity = rng.normal(size=(3, 4))
-            stacked.accumulate_all(grads, y_prev, velocity)
+            stacked.accumulate(slice(None), grads, y_prev, velocity)
             for worker in range(3):
                 looped.accumulate(
                     worker, grads[worker], y_prev[worker], velocity[worker]

@@ -8,8 +8,9 @@ stream; an aborting monitor stops the run cleanly on both drivers.
 
 import pytest
 
-from repro.algorithms import AsyncHierAdMo, HierFAVG
+from repro.algorithms import CFL, AsyncHierAdMo, HierFAVG
 from repro.core import HierAdMo
+from repro.faults import FaultPlan
 from repro.metrics import history_from_dict, history_to_dict
 from repro.monitoring import (
     PlateauMonitor,
@@ -156,6 +157,41 @@ class TestOtherAlgorithms:
         kinds = [e.kind for e in sink.snapshot()]
         assert kinds.count("edge_round") == 6
         assert kinds.count("cloud_round") == 2
+
+    @pytest.mark.parametrize("cls", [HierAdMo, HierFAVG, CFL])
+    @pytest.mark.parametrize(
+        "policy, cloud_edges",
+        # Edge 1 is dark for iterations 6-8: the t=6 cloud round is
+        # abandoned under skip_round and aggregates edge 0 alone under
+        # renormalize.
+        [("skip_round", [(12, 2)]), ("renormalize", [(6, 1), (12, 2)])],
+    )
+    def test_round_events_count_aggregating_edges(
+        self, federation_factory, cls, policy, cloud_edges
+    ):
+        """One event per aggregation that ran, reporting the edges that
+        took part — none for an abandoned round."""
+        algorithm = cls(federation_factory(), eta=0.05, tau=3, pi=2)
+        algorithm.attach_faults(
+            FaultPlan(seed=0, scripted_edge_down=((1, 2, 2),)),
+            policy=policy,
+        )
+        sink = RingBufferSink()
+        with monitoring(sinks=[sink]):
+            algorithm.run(12, eval_every=6)
+        events = sink.snapshot()
+        edge = [
+            (e.iteration, e.data["edges"])
+            for e in events
+            if e.kind == "edge_round"
+        ]
+        cloud = [
+            (e.iteration, e.data["edges"])
+            for e in events
+            if e.kind == "cloud_round"
+        ]
+        assert edge == [(3, 2), (6, 1), (9, 2), (12, 2)]
+        assert cloud == cloud_edges
 
     def test_two_tier_emits_cloud_rounds(self, federation_factory):
         from repro.algorithms import FedAvg

@@ -1,86 +1,55 @@
 """Tier-1 smoke test for null-tracer overhead.
 
-The authoritative ≤2% bound lives in ``benchmarks/bench_telemetry.py``
-(min-of-many timing on a quiet machine); this test asserts a relaxed
-10% bound so CI noise cannot flake it while still catching a regression
-that puts real work (dict churn, clock reads) on the disabled path.
+The authoritative ≤2% bound lives in ``benchmarks/bench_telemetry.py``;
+this test runs the same measurement — null calls counted on the live
+``_step`` path, priced at the installed null tracer's per-call cost —
+against a relaxed 10% bound so CI noise cannot flake it, and checks that
+the gate can fail: a deliberately slowed null span must breach it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
-import numpy as np
 import pytest
 
+from benchmarks.bench_telemetry import make_step_bench, null_overhead
 from repro import telemetry
-from repro.core import Federation, HierAdMo
-from repro.data import Dataset
-from repro.nn.models import make_mlp
+from repro.telemetry import NullTracer
 
 pytestmark = pytest.mark.telemetry
 
 RELAXED_OVERHEAD = 0.10
 
 
-def _time_min(fn, repeats=7, iters=10):
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
+class SlowNullTracer(NullTracer):
+    """A null tracer whose span costs ~50 us (a regression to catch)."""
 
+    __slots__ = ()
 
-def _make_algo():
-    rng = np.random.default_rng(7)
-    edges = [
-        [
-            Dataset(rng.normal(size=(96, 20)), rng.integers(0, 5, 96), 5)
-            for _ in range(6)
-        ]
-        for _ in range(4)
-    ]
-    model = make_mlp(20, (16,), 5, rng=8)
-    fed = Federation(model, edges, edges[0][0], batch_size=8, seed=9)
-    algo = HierAdMo(fed, tau=10**9, pi=1)
-    algo.history = fed.new_history("bench", {})
-    algo._setup()
-    return fed, algo
-
-
-def _untraced_iteration(fed, algo):
-    """Replica of the worker-iteration body without telemetry calls."""
-    grads = algo._grads
-    total_loss = 0.0
-    for worker in range(fed.num_workers):
-        _, loss = fed.gradient(worker, algo.x[worker], out=grads[worker])
-        total_loss += loss
-    y_new = algo.x - algo.eta * grads
-    velocity = y_new - algo.y
-    algo.controller.accumulate_all(grads, algo.y, velocity)
-    algo.x = y_new + algo.gamma * velocity
-    algo.y = y_new
-    return total_loss / fed.num_workers
+    def span(self, name):
+        deadline = time.perf_counter() + 50e-6
+        while time.perf_counter() < deadline:
+            pass
+        return super().span(name)
 
 
 def test_disabled_tracer_overhead_smoke():
     telemetry.disable()
-    fed, algo = _make_algo()
-
-    def untraced():
-        _untraced_iteration(fed, algo)
-
-    untraced()
-    algo._worker_iteration()
-    untraced_time = _time_min(untraced)
-    disabled_time = _time_min(algo._worker_iteration)
-
-    overhead = disabled_time / untraced_time - 1.0
+    _, step = make_step_bench()
+    measured = null_overhead(step)
+    assert measured["spans_per_step"] > 0
+    assert measured["tracer_guards_per_step"] > 0
+    overhead = measured["tracer_overhead"]
     assert overhead <= RELAXED_OVERHEAD, (
-        f"null-tracer path {overhead:+.1%} over the untraced baseline "
+        f"null-tracer calls cost {overhead:+.1%} of a step "
         f"(relaxed CI budget {RELAXED_OVERHEAD:.0%}; the strict 2% bound "
         "is enforced by benchmarks/bench_telemetry.py)"
     )
+
+
+def test_slowed_null_span_fails_the_gate():
+    telemetry.disable()
+    _, step = make_step_bench()
+    measured = null_overhead(step, tracer=SlowNullTracer())
+    assert measured["tracer_overhead"] > RELAXED_OVERHEAD
