@@ -248,7 +248,17 @@ def _monitor_command(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except ValueError as error:
+        # Bad experiment settings (config fields, data geometry) are
+        # rejected by ValueError-raising validation: report them in one
+        # line with argparse's usage-error exit code.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "monitor":
         return _monitor_command(args)
 

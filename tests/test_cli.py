@@ -21,6 +21,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--algorithm", "FedProx"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--edges", "0"], "num_edges must be a positive integer"),
+            (["--samples", "5"], "received no samples"),
+        ],
+    )
+    def test_bad_config_is_one_line_error(self, capsys, flags, message):
+        assert main(["run", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
 
 class TestCommands:
     def test_list(self, capsys):
