@@ -1,5 +1,7 @@
 """Tests for synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,75 @@ class TestLearnability:
             params -= 0.05 * grad
         model.set_flat_params(params)
         assert model.accuracy(ds.x, ds.y) > 0.7
+
+
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestPinnedOutput:
+    """The generators' exact bytes, so a rewrite must be bit-identical.
+
+    Every experiment and golden trajectory starts from these arrays; a
+    change in RNG draw order or arithmetic shows up here first.
+    """
+
+    @pytest.mark.parametrize(
+        "builder, seed, x_digest, y_digest",
+        [
+            (
+                make_synthetic_mnist,
+                0,
+                "84ba40a8242db45ee6134bba0573d3be964bd9032a51cefb9ad679c61ad75db1",
+                "ddba588a86ea2f7821f9950ced4396ac1382164bec3db6c415003ed88d57610b",
+            ),
+            (
+                make_synthetic_mnist,
+                12345,
+                "8ef0331a0fa97a58eed20ede07457ed5db61194ea3420ea747e0937275073cf7",
+                "e95e01805726e7143938d504f0f5d8c17dd86715a04bb5342d6636e7c1977c64",
+            ),
+            (
+                make_synthetic_cifar10,
+                0,
+                "252f1def28a9ab019289568bae7f72e5ff50dd75bf1bf373755ee6b55807bc17",
+                "81a1eccba006cad9a063dad7db2dd2ff65107b5784a2a139e0b67a0d6b2bd6d7",
+            ),
+            (
+                make_synthetic_cifar10,
+                12345,
+                "55f5a2a8c99e42401df4e4cad2482dc54564b9149059226428f40923c8e0ccca",
+                "80969324d10a8c58afb4958861841ac5871a3fc6d29c85ce0593caa484585fad",
+            ),
+            (
+                make_synthetic_imagenet,
+                0,
+                "ed00b1d9785470e775acd66b3fc1d7679d331aad0c75c9c24990ca27412381f1",
+                "5ef702a8be47a6e0ac4db90f223b5b1766716a4e329f5ac63414a79652036993",
+            ),
+            (
+                make_synthetic_imagenet,
+                12345,
+                "535841c9ab16425137a310e5f5bb8abc965cae49508344d3ca1c68b6d38090ba",
+                "a3c540713891c785dd71f7063022bfef146949755602a2bd0e2895f224115474",
+            ),
+        ],
+    )
+    def test_named_builders(self, builder, seed, x_digest, y_digest):
+        ds = builder(500, rng=seed)
+        assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+        assert _digest(ds.x) == x_digest
+        assert _digest(ds.y) == y_digest
+
+    def test_blob_without_jitter(self):
+        ds = make_blob_dataset(
+            300, 4, channels=2, image_size=6, noise=0.8, scale_spread=0.25,
+            rng=7,
+        )
+        assert ds.x.shape == (300, 2, 6, 6)
+        assert _digest(ds.x) == (
+            "50b62971f0ab28469b53e945a1c6743aded5824cda0cffae45fa4f3d1ad87fa3"
+        )
+        assert _digest(ds.y) == (
+            "01a8f6d7a48a9a03ac33cc0c9af93b538e1de6307fb01a834bf5784822d2b9aa"
+        )
