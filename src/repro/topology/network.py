@@ -8,10 +8,14 @@ used throughout Algorithm 1.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology"]
 
@@ -145,7 +149,18 @@ class Topology:
     # Export
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
-        """Graph view: cloud -- edge ℓ -- worker (i, ℓ), with sample attrs."""
+        """Graph view: cloud -- edge ℓ -- worker (i, ℓ), with sample attrs.
+
+        Needs networkx, the optional ``graph`` extra; it is imported here
+        so that nothing else in the package pays for it.
+        """
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "Topology.to_networkx needs networkx: "
+                "pip install 'repro[graph]'"
+            ) from exc
         graph = nx.Graph()
         graph.add_node("cloud", tier="cloud")
         for edge in range(self.num_edges):

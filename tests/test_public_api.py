@@ -1,6 +1,10 @@
 """The public API surface: everything advertised must import and work."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +71,27 @@ class TestTopLevel:
                 obj = getattr(module, name)
                 if isinstance(obj, type):
                     assert obj.__doc__, f"{module_name}.{name}"
+
+
+class TestImportCost:
+    def test_cli_import_pulls_no_heavy_dependency(self):
+        """scipy and networkx serve no training path; the CLI must not
+        load them (together they were ~0.75 s of every run's start-up).
+
+        A fresh interpreter, because this test session may have imported
+        them already.
+        """
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import repro.cli, sys; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'networkx'})))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.split() == []

@@ -1,5 +1,7 @@
 """Tests for the three-tier topology."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,7 @@ class TestIndexing:
 
 class TestExport:
     def test_networkx_structure(self):
+        pytest.importorskip("networkx")
         topo = Topology([[10, 20], [30]])
         graph = topo.to_networkx()
         assert graph.number_of_nodes() == 1 + 2 + 3
@@ -126,3 +129,9 @@ class TestExport:
         assert graph.nodes["worker1.0"]["samples"] == 30
         assert graph.edges["edge0", "worker0.0"]["link"] == "lan"
         assert graph.edges["cloud", "edge1"]["link"] == "wan"
+
+    def test_missing_networkx_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[graph\]") as info:
+            Topology([[10]]).to_networkx()
+        assert "\n" not in str(info.value)
