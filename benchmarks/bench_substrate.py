@@ -8,17 +8,16 @@ the full HierAdMo iteration cost.
 """
 
 import itertools
-import math
-import time
 
 import numpy as np
 
 from repro.core import Federation, HierAdMo
 from repro.core.adaptive import AdaptiveGammaController
 from repro.data import Dataset
-from repro.nn.models import make_cnn, make_logistic_regression, make_mlp
+from repro.nn.models import make_cnn, make_logistic_regression
 from repro.utils.flatten import flatten_arrays, unflatten_like
 
+from .common import make_bench_federation, time_min
 from .recorder import record_bench
 
 RNG = np.random.default_rng(0)
@@ -165,31 +164,6 @@ def _legacy_gradient(model, x, y, params):
     return flatten_arrays([p.grad for p in _legacy_parameters(module)]), float(loss)
 
 
-def _time_min(fn, repeats=7, iters=10):
-    """Best-of-repeats mean iteration time (robust to scheduler noise)."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
-
-
-def _make_bench_federation(num_edges=4, per_edge=6):
-    """Small MLP (dim 421), 24 workers across 4 edges."""
-    rng = np.random.default_rng(7)
-    edges = [
-        [
-            Dataset(rng.normal(size=(96, 20)), rng.integers(0, 5, 96), 5)
-            for _ in range(per_edge)
-        ]
-        for _ in range(num_edges)
-    ]
-    model = make_mlp(20, (16,), 5, rng=8)
-    return Federation(model, edges, edges[0][0], batch_size=8, seed=9)
-
-
 def test_bench_buffered_vs_legacy_plumbing():
     """Before/after micro-benchmark of the paths the refactor changed.
 
@@ -205,7 +179,7 @@ def test_bench_buffered_vs_legacy_plumbing():
     oracle call, one GEMM + row broadcast per edge).  Acceptance target
     from the refactor issue: ≥ 2× on a small MLP with ≥ 20 workers.
     """
-    fed = _make_bench_federation()
+    fed = make_bench_federation()
     model, module, dim = fed.model, fed.model.module, fed.dim
     rng = np.random.default_rng(10)
     stacked = rng.normal(size=(fed.num_workers, dim))
@@ -243,8 +217,8 @@ def test_bench_buffered_vs_legacy_plumbing():
 
     legacy_round()  # warm-up both paths
     buffered_round()
-    legacy_time = _time_min(legacy_round)
-    buffered_time = _time_min(buffered_round)
+    legacy_time = time_min(legacy_round, repeats=7, iters=10)
+    buffered_time = time_min(buffered_round, repeats=7, iters=10)
     speedup = legacy_time / buffered_time
     print(
         f"\n[bench] oracle+aggregation plumbing, {fed.num_workers} workers, "
@@ -271,7 +245,7 @@ def test_bench_buffered_vs_legacy_iteration():
     so the end-to-end win is smaller — this records it and guards
     against the buffered runtime ever being slower overall.
     """
-    fed = _make_bench_federation()
+    fed = make_bench_federation()
     model = fed.model
     algo = HierAdMo(fed, tau=10**9, pi=1)
     algo.history = fed.new_history("bench", {})
@@ -299,8 +273,8 @@ def test_bench_buffered_vs_legacy_iteration():
 
     legacy_iteration()  # warm-up both paths
     buffered_iteration()
-    legacy_time = _time_min(legacy_iteration)
-    buffered_time = _time_min(buffered_iteration)
+    legacy_time = time_min(legacy_iteration, repeats=7, iters=10)
+    buffered_time = time_min(buffered_iteration, repeats=7, iters=10)
     speedup = legacy_time / buffered_time
     print(
         f"\n[bench] HierAdMo worker iteration, {fed.num_workers} workers, "

@@ -22,52 +22,22 @@ Results land in ``BENCH_telemetry.json`` at the repo root.
 from __future__ import annotations
 
 import itertools
-import math
-import time
-
-import numpy as np
 
 from repro import telemetry
-from repro.core import Federation, HierAdMo
-from repro.data import Dataset
+from repro.core import HierAdMo
 from repro.monitoring import (
     NULL_MONITOR,
     NullMonitor,
     get_monitor,
     set_monitor,
 )
-from repro.nn.models import make_mlp
 from repro.telemetry import NullTracer, get_tracer, set_tracer
 
+from .common import make_bench_federation, time_min
 from .recorder import record_bench
 
 # The acceptance threshold for the disabled-tracer ("null tracer") path.
 MAX_DISABLED_OVERHEAD = 0.02
-
-
-def _time_min(fn, repeats=9, iters=20):
-    """Best-of-repeats mean iteration time (robust to scheduler noise)."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / iters
-
-
-def _make_bench_federation(num_edges=4, per_edge=6):
-    """Small MLP (dim 421), 24 workers across 4 edges."""
-    rng = np.random.default_rng(7)
-    edges = [
-        [
-            Dataset(rng.normal(size=(96, 20)), rng.integers(0, 5, 96), 5)
-            for _ in range(per_edge)
-        ]
-        for _ in range(num_edges)
-    ]
-    model = make_mlp(20, (16,), 5, rng=8)
-    return Federation(model, edges, edges[0][0], batch_size=8, seed=9)
 
 
 def make_step_bench():
@@ -75,7 +45,7 @@ def make_step_bench():
 
     ``tau = pi = 1``: every step runs an edge and a cloud round.
     """
-    fed = _make_bench_federation()
+    fed = make_bench_federation()
     algo = HierAdMo(fed, tau=1, pi=1)
     algo.history = fed.new_history("bench", {})
     algo._setup()
@@ -148,11 +118,11 @@ def null_overhead(step, tracer=telemetry.NULL_TRACER, steps=20) -> dict:
     set_tracer(tracer)
     set_monitor(NULL_MONITOR)
     try:
-        span_s = _time_min(null_span, iters=1000)
-        guard_s = _time_min(tracer_guard, iters=1000)
-        monitor_guard_s = _time_min(monitor_guard, iters=1000)
+        span_s = time_min(null_span, iters=1000)
+        guard_s = time_min(tracer_guard, iters=1000)
+        monitor_guard_s = time_min(monitor_guard, iters=1000)
         step()  # warm-up
-        step_s = _time_min(step)
+        step_s = time_min(step)
     finally:
         set_tracer(previous_tracer)
         set_monitor(previous_monitor)
@@ -178,7 +148,7 @@ def test_bench_null_tracer_overhead():
 
     with telemetry.tracing():
         step()  # warm-up the recording path
-        enabled_time = _time_min(step)
+        enabled_time = time_min(step)
     enabled_overhead = enabled_time / (measured["step_us"] * 1e-6) - 1.0
     print(
         f"\n[bench] telemetry overhead, {fed.num_workers} workers, "
@@ -223,10 +193,10 @@ def test_bench_span_primitives():
         with null.span("bench"):
             pass
 
-    span_ns = _time_min(one_span, iters=1000) * 1e9
-    null_ns = _time_min(one_null_span, iters=1000) * 1e9
-    count_ns = _time_min(lambda: tracer.count("c"), iters=1000) * 1e9
-    observe_ns = _time_min(lambda: tracer.observe("h", 1.0), iters=1000) * 1e9
+    span_ns = time_min(one_span, iters=1000) * 1e9
+    null_ns = time_min(one_null_span, iters=1000) * 1e9
+    count_ns = time_min(lambda: tracer.count("c"), iters=1000) * 1e9
+    observe_ns = time_min(lambda: tracer.observe("h", 1.0), iters=1000) * 1e9
     print(
         f"\n[bench] span {span_ns:.0f} ns, null span {null_ns:.0f} ns, "
         f"count {count_ns:.0f} ns, observe {observe_ns:.0f} ns"
