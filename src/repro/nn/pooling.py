@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import col2im, conv_output_size, im2col
 from repro.nn.module import Module
 from repro.utils.validation import check_positive_int
 
@@ -32,18 +32,13 @@ class _Pool2d(Module):
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
         cols = im2col(x, k, k, s, 0)  # (N*OH*OW, C*K*K)
-        return cols.reshape(-1, c, k * k).reshape(-1, k * k)
+        return cols.reshape(-1, k * k)
 
     def _scatter(self, grad_patches: np.ndarray) -> np.ndarray:
         """Scatter per-patch gradients (N*OH*OW*C, K*K) back to the input."""
-        n, c, h, w = self._x_shape
+        c = self._x_shape[1]
         k, s = self.kernel_size, self.stride
-        out_h, out_w = self._out_hw
-        grad_cols = grad_patches.reshape(-1, c, k * k).reshape(
-            n * out_h * out_w, c * k * k
-        )
-        from repro.nn.functional import col2im
-
+        grad_cols = grad_patches.reshape(-1, c * k * k)
         return col2im(grad_cols, self._x_shape, k, k, s, 0)
 
 
@@ -67,7 +62,9 @@ class MaxPool2d(_Pool2d):
             raise RuntimeError("backward called before forward")
         k = self.kernel_size
         grad_flat = grad_output.transpose(0, 2, 3, 1).ravel()
-        grad_patches = np.zeros((grad_flat.shape[0], k * k), dtype=np.float64)
+        grad_patches = np.zeros(
+            (grad_flat.shape[0], k * k), dtype=grad_flat.dtype
+        )
         grad_patches[np.arange(grad_flat.shape[0]), self._argmax] = grad_flat
         self._argmax = None
         return self._scatter(grad_patches)

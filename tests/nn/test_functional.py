@@ -82,6 +82,81 @@ class TestIm2Col:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _loop_im2col(x, kernel, stride, padding):
+    """Reference im2col: one strided slice copy per kernel tap."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, out_h, out_w, c, kernel, kernel))
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[..., i, j] = x[
+                :, :, i : i + stride * out_h : stride,
+                j : j + stride * out_w : stride,
+            ].transpose(0, 2, 3, 1)
+    return cols.reshape(n * out_h * out_w, -1)
+
+
+GEOMETRIES = [
+    # (n, c, h, w, kernel, stride, padding)
+    (2, 3, 5, 5, 3, 1, 1),
+    (3, 2, 6, 4, 3, 2, 1),
+    (2, 4, 7, 7, 2, 2, 0),
+    (1, 1, 8, 8, 3, 2, 0),
+    (2, 3, 4, 5, 1, 1, 0),
+]
+
+
+class TestChannelsLast:
+    """Both layouts produce the same patch rows, bit for bit."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_im2col_layouts_match_loop_reference(self, geometry):
+        n, c, h, w, kernel, stride, padding = geometry
+        x = np.random.default_rng(1).normal(size=(n, c, h, w))
+        want = _loop_im2col(x, kernel, stride, padding)
+        nchw = im2col(x, kernel, kernel, stride, padding)
+        nhwc = im2col(
+            np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
+            kernel, kernel, stride, padding, channels_last=True,
+        )
+        assert np.array_equal(nchw, want)
+        assert np.array_equal(nhwc, want)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_col2im_layouts_agree(self, geometry):
+        n, c, h, w, kernel, stride, padding = geometry
+        out_h = conv_output_size(h, kernel, stride, padding)
+        out_w = conv_output_size(w, kernel, stride, padding)
+        cols = np.random.default_rng(2).normal(
+            size=(n * out_h * out_w, c * kernel * kernel)
+        )
+        nchw = col2im(cols, (n, c, h, w), kernel, kernel, stride, padding)
+        nhwc = col2im(
+            cols, (n, h, w, c), kernel, kernel, stride, padding,
+            channels_last=True,
+        )
+        assert nhwc.shape == (n, h, w, c)
+        assert np.array_equal(nhwc.transpose(0, 3, 1, 2), nchw)
+
+    def test_fold_cache_keys_on_layout(self):
+        """One shape tuple read in both layouts must not share indices."""
+        shape = (1, 3, 3, 3)
+        cols = np.random.default_rng(3).normal(size=(9, 27))
+        nchw = col2im(cols, shape, 3, 3, 1, 1)
+        nhwc = col2im(cols, shape, 3, 3, 1, 1, channels_last=True)
+        assert np.array_equal(
+            nhwc, col2im(cols, shape, 3, 3, 1, 1, channels_last=True)
+        )
+        assert not np.array_equal(nhwc, nchw)
+
+    def test_out_buffer_shape_is_checked(self):
+        x = np.zeros((1, 4, 4, 2))
+        with pytest.raises(ValueError, match="out buffer"):
+            im2col(x, 3, 3, 1, 0, out=np.empty((4, 9)), channels_last=True)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         logits = np.random.default_rng(0).normal(size=(6, 4)) * 10

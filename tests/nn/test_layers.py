@@ -103,6 +103,16 @@ class TestPooling:
         with pytest.raises(ValueError):
             GlobalAvgPool2d().forward(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+    def test_float32_input_gets_float32_gradient(self, pool_cls):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
+        pool = pool_cls(2)
+        out = pool.forward(x.astype(np.float32))
+        grad = pool.backward(np.ones_like(out))
+        assert out.dtype == np.float32
+        assert grad.dtype == np.float32
+        assert grad.shape == x.shape
+
 
 class TestActivationValues:
     def test_relu(self):
